@@ -1,4 +1,4 @@
-"""Tests of the benchmark itself: traffic, oracle, tail helper.
+"""Tests of the benchmark itself: traffic, oracle, calibration, tail helper.
 
 Run from the root of a checkout::
 
@@ -13,6 +13,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import calibrate  # noqa: E402
 import traffic as T  # noqa: E402
 from stats import TAIL_BEYOND, tail  # noqa: E402
 from workloads import Ledger, Outcome  # noqa: E402
@@ -71,6 +72,23 @@ def test_failing_operation_counts_as_failed():
     assert result is None
     assert (ledger.outcome.attempted, ledger.outcome.failed) == (1, 1)
     assert "impute" not in ledger.latency
+
+
+def test_calibration_scales_work_by_the_mean_of_its_brackets(monkeypatch):
+    # The host ran the kernel at 1/1.5 and 1/2.5 of nominal speed around
+    # the work: it ran twice as slow as nominal on average.
+    readings = iter([1.5 * calibrate.NOMINAL_S, 2.5 * calibrate.NOMINAL_S])
+    monkeypatch.setattr(calibrate, "measure", lambda: next(readings))
+    ledger = _ledger(np.zeros(1))
+    ledger.calibrate()
+    ledger.call("impute", True, sum, range(1000))
+    ledger.call("impute", False, sum, range(1000))
+    ledger.epoch(3.0, 17)
+    assert ledger.scaled == {}
+    ledger.calibrate()
+    assert ledger.scaled["impute"] == [0.5 * ledger.latency["impute"][0]]
+    assert ledger.scaled_seconds == pytest.approx(1.5)
+    assert (ledger.seconds, ledger.slices) == (3.0, 17)
 
 
 @pytest.mark.parametrize(
