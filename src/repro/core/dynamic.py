@@ -74,7 +74,7 @@ from repro.core.outliers import (
     robust_step_batch_at,
 )
 from repro.exceptions import ShapeError
-from repro.tensor import kernels, kruskal_to_tensor
+from repro.tensor import kernels, kruskal_to_tensor, scatter_flat
 from repro.tensor.validation import check_mask
 
 __all__ = [
@@ -429,8 +429,19 @@ def dynamic_step_batch(
             phi=config.phi,
             ck=config.biweight_c,
         )
-        residuals = np.where(ms, ys - outliers - predictions, 0.0)
-        stacked = kernels.to_device(np.moveaxis(residuals, 0, -1))
+        observed = np.flatnonzero(ms)
+        residuals = scatter_flat(
+            ys.take(observed)
+            - outliers.take(observed)
+            - predictions.take(observed),
+            observed,
+            ys.shape,
+        )
+        # One C-contiguous time-last copy, so the three MTTKRPs below
+        # neither probe a strided view nor each make a copy of their own.
+        stacked = kernels.to_device(
+            np.ascontiguousarray(np.moveaxis(residuals, 0, -1))
+        )
         kernel_factors = list(dev_factors)
         batch_weights = dev_forecasts
 
@@ -477,18 +488,22 @@ def dynamic_step_batch(
         )
 
     # (4) Temporal vectors, ring buffer, and HW advances — O(R) per step.
+    #     Row ``period + b`` of ``history`` is ``u_{t+b}``; its lag-1 and
+    #     lag-m anchors are rows ``period + b - 1`` and ``b``.
     period = state.temporal_buffer.shape[0]
-    history = np.vstack(
-        [state.temporal_buffer, np.zeros((n_batch, rank), dtype=dtype)]
-    )
-    lam_sum = config.lambda1 + config.lambda2
-    for b in range(n_batch):
-        u_f = u_forecasts[b]
-        history[period + b] = u_f + 2.0 * step_u * (
-            data_terms[b]
-            + config.lambda1 * history[period + b - 1]
-            + config.lambda2 * history[b]
-            - lam_sum * u_f
+    history = np.empty((period + n_batch, rank), dtype=dtype)
+    history[:period] = state.temporal_buffer
+    lambda1, lambda2 = config.lambda1, config.lambda2
+    pulls = (lambda1 + lambda2) * u_forecasts
+    two_step = 2.0 * step_u
+    for b, (u_f, data_term, pull) in enumerate(
+        zip(u_forecasts, data_terms, pulls)
+    ):
+        history[period + b] = u_f + two_step * (
+            data_term
+            + lambda1 * history[period + b - 1]
+            + lambda2 * history[b]
+            - pull
         )
     u_news = history[period:]
     state.non_temporal = new_factors

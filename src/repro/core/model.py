@@ -111,7 +111,11 @@ class SofiaModelState:
 
     def push_temporal(self, vector: np.ndarray) -> None:
         """Append ``u_t`` to the ring buffer, dropping ``u_{t-m}``."""
-        v = np.asarray(vector, dtype=self.temporal_buffer.dtype).reshape(1, -1)
-        if v.shape[1] != self.rank:
+        buf = self.temporal_buffer
+        v = np.asarray(vector, dtype=buf.dtype).reshape(-1)
+        if v.size != self.rank:
             raise ShapeError(f"expected a length-{self.rank} vector")
-        self.temporal_buffer = np.vstack([self.temporal_buffer[1:], v])
+        ring = np.empty_like(buf)
+        ring[:-1] = buf[1:]
+        ring[-1] = v
+        self.temporal_buffer = ring

@@ -15,6 +15,7 @@ import numpy as np
 from repro.exceptions import ShapeError
 from repro.forecast.robust import biweight_rho, huber_psi
 from repro.tensor.kernels import soft_threshold as _kernel_soft_threshold
+from repro.tensor.masked import scatter_flat
 from repro.tensor.validation import (
     as_float as _as_float,
 )
@@ -44,13 +45,19 @@ def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
     return _kernel_soft_threshold(values, threshold)
 
 
-def _huber_excess(residual: np.ndarray, sigma: np.ndarray, k: float):
-    """Residual in excess of the Huber clip ``ψ(r/σ)σ`` (Eq. 21 core)."""
-    return residual - huber_psi(residual / sigma, k) * sigma
+def _huber_excess(
+    residual: np.ndarray, ratio: np.ndarray, sigma: np.ndarray, k: float
+):
+    """Residual in excess of the Huber clip ``ψ(r/σ)σ`` (Eq. 21 core).
+
+    ``ratio`` is ``residual / sigma``, computed once by the caller and
+    shared with :func:`_biweight_scale`.
+    """
+    return residual - huber_psi(ratio, k) * sigma
 
 
 def _biweight_scale(
-    residual: np.ndarray,
+    ratio: np.ndarray,
     sigma: np.ndarray,
     *,
     phi: float,
@@ -58,7 +65,7 @@ def _biweight_scale(
     ck: float,
 ) -> np.ndarray:
     """One biweight recursion step of the error scale (Eq. 22 core)."""
-    rho = biweight_rho(residual / sigma, k, ck)
+    rho = biweight_rho(ratio, k, ck)
     return np.sqrt(phi * rho * sigma**2 + (1.0 - phi) * sigma**2)
 
 
@@ -82,7 +89,8 @@ def estimate_outliers(
     check_same_shape(y, yhat, names=("observed", "predicted"))
     check_same_shape(y, sg, names=("observed", "sigma"))
     m = check_mask(mask, y.shape)
-    return np.where(m, _huber_excess(y - yhat, sg, k), 0.0)
+    residual = y - yhat
+    return np.where(m, _huber_excess(residual, residual / sg, sg, k), 0.0)
 
 
 def update_error_scale(
@@ -110,7 +118,7 @@ def update_error_scale(
     check_same_shape(y, yhat, names=("observed", "predicted"))
     check_same_shape(y, sg, names=("observed", "sigma"))
     m = check_mask(mask, y.shape)
-    updated = _biweight_scale(y - yhat, sg, phi=phi, k=k, ck=ck)
+    updated = _biweight_scale((y - yhat) / sg, sg, phi=phi, k=k, ck=ck)
     return np.where(m, updated, sg)
 
 
@@ -137,11 +145,16 @@ def robust_step(
     check_same_shape(y, yhat, names=("observed", "predicted"))
     check_same_shape(y, sg, names=("observed", "sigma"))
     m = check_mask(mask, y.shape)
-    residual = y - yhat
-    outliers = np.where(m, _huber_excess(residual, sg, k), 0.0)
-    new_sigma = np.where(
-        m, _biweight_scale(residual, sg, phi=phi, k=k, ck=ck), sg
+    flat = np.flatnonzero(m)
+    sg_values = sg.take(flat)
+    residual = y.take(flat) - yhat.take(flat)
+    ratio = residual / sg_values
+    outliers = scatter_flat(
+        _huber_excess(residual, ratio, sg_values, k), flat, y.shape, 0.0
     )
+    scale = _biweight_scale(ratio, sg_values, phi=phi, k=k, ck=ck)
+    new_sigma = sg.astype(scale.dtype, order="C")
+    new_sigma.reshape(-1)[flat] = scale
     return outliers, new_sigma
 
 
@@ -184,10 +197,11 @@ def robust_step_at(
     sg = _as_float(sigma)
     residual = y - yhat
     sg_values = sg[coords]
-    outlier_values = _huber_excess(residual, sg_values, k)
+    ratio = residual / sg_values
+    outlier_values = _huber_excess(residual, ratio, sg_values, k)
     new_sigma = sg.copy()
     new_sigma[coords] = _biweight_scale(
-        residual, sg_values, phi=phi, k=k, ck=ck
+        ratio, sg_values, phi=phi, k=k, ck=ck
     )
     return outlier_values, new_sigma
 
@@ -233,8 +247,9 @@ def robust_step_batch_at(
     spatial = coords[1:]
     residual = y - yhat
     sg_values = sg[spatial]
-    outlier_values = _huber_excess(residual, sg_values, k)
-    growth = phi * biweight_rho(residual / sg_values, k, ck) + (1.0 - phi)
+    ratio = residual / sg_values
+    outlier_values = _huber_excess(residual, ratio, sg_values, k)
+    growth = phi * biweight_rho(ratio, k, ck) + (1.0 - phi)
     # Product over the batch via a sum of logs: growth is non-negative
     # (and zero only in the degenerate phi = 1 case, where log -> -inf
     # and exp recovers the exact zero product).
@@ -299,10 +314,15 @@ def robust_step_batch(
             f"batch shape {y.shape} does not match sigma {sg.shape}"
         )
     m = check_mask(mask, y.shape)
-    residual = y - yhat
-    outliers = np.where(m, _huber_excess(residual, sg, k), 0.0)
-    growth = np.where(
-        m, phi * biweight_rho(residual / sg, k, ck) + (1.0 - phi), 1.0
+    flat = np.flatnonzero(m)
+    sg_values = np.broadcast_to(sg, y.shape).take(flat)
+    residual = y.take(flat) - yhat.take(flat)
+    ratio = residual / sg_values
+    outliers = scatter_flat(
+        _huber_excess(residual, ratio, sg_values, k), flat, y.shape, 0.0
+    )
+    growth = scatter_flat(
+        phi * biweight_rho(ratio, k, ck) + (1.0 - phi), flat, y.shape, 1.0
     )
     new_sigma = sg * np.sqrt(np.prod(growth, axis=0))
     return outliers, new_sigma

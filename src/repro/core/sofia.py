@@ -29,7 +29,7 @@ from repro.core.model import SofiaModelState, SofiaStep
 from repro.exceptions import NotFittedError, ShapeError
 from repro.forecast.fitting import fit_holt_winters
 from repro.forecast.vector_hw import VectorHoltWinters
-from repro.tensor import kruskal_to_tensor
+from repro.tensor import kruskal_to_tensors
 from repro.tensor.validation import check_mask
 
 __all__ = ["Sofia"]
@@ -277,13 +277,7 @@ class Sofia:
         u_future = state.hw.forecast(horizon).astype(
             state.dtype, copy=False
         )
-        return np.stack(
-            [
-                kruskal_to_tensor(state.non_temporal, weights=u_future[h])
-                for h in range(horizon)
-            ],
-            axis=0,
-        )
+        return kruskal_to_tensors(state.non_temporal, u_future)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -53,10 +53,21 @@ def biweight_rho(x, k: float = DEFAULT_K, ck: float = DEFAULT_CK):
 
     Equals ``ck * (1 - (1 - (x/k)^2)^3)`` for ``|x| <= k`` and ``ck``
     outside; bounded, so one extreme residual cannot explode the scale.
+
+    Only the nonzero bases are cubed: libm's ``pow(0, 3)`` takes a slow
+    path several times dearer than a nonzero base, and in a corrupted
+    stream most residuals clip at ``k`` where the base is exactly zero.
+    Zero bases are shifted to one and the cube masked back to ``+0.0``,
+    which is bit-for-bit the textbook result (the base is never
+    ``-0.0``, and NaN and ±inf propagate unchanged).
     """
     arr = as_float(x)
     scaled = np.clip(np.abs(arr) / k, 0.0, 1.0)
-    result = ck * (1.0 - (1.0 - scaled**2) ** 3)
+    inner = 1.0 - scaled**2
+    dead = inner == 0.0
+    cube = (inner + dead) ** 3
+    cube *= ~dead
+    result = ck * (1.0 - cube)
     if np.isscalar(x) or arr.ndim == 0:
         return float(result)
     return result

@@ -111,19 +111,7 @@ class VectorHoltWinters:
         u = np.asarray(value, dtype=np.float64).reshape(-1)
         if u.size != self.rank:
             raise ShapeError(f"expected a length-{self.rank} vector, got {u.size}")
-        s_old = self.seasonal[0]  # s_{t-m}
-        prev_level = self.level
-        prev_trend = self.trend
-        level = self.alpha * (u - s_old) + (1.0 - self.alpha) * (
-            prev_level + prev_trend
-        )
-        trend = self.beta * (level - prev_level) + (1.0 - self.beta) * prev_trend
-        s_new = self.gamma * (u - prev_level - prev_trend) + (
-            1.0 - self.gamma
-        ) * s_old
-        self.level = level
-        self.trend = trend
-        self.seasonal = np.vstack([self.seasonal[1:], s_new[None, :]])
+        self._advance(u[None, :])
 
     def update_many(self, values: np.ndarray) -> None:
         """Advance the state with ``B`` temporal vectors in one call.
@@ -138,8 +126,37 @@ class VectorHoltWinters:
             raise ShapeError(
                 f"expected a (batch, {self.rank}) array, got {vals.shape}"
             )
-        for row in vals:
-            self.update(row)
+        self._advance(vals)
+
+    def _advance(self, rows: np.ndarray) -> None:
+        """Eq. 26a-26c once per row of the float64 ``(B, R)`` ``rows``.
+
+        The ``R`` series are independent, so the recurrence runs series
+        by series on Python floats: at SOFIA's ranks a NumPy call on a
+        length-``R`` vector costs far more in dispatch than in flops.
+        Python floats round every operation exactly as NumPy's float64
+        ufuncs do, and the operations and their order are those of
+        Eq. 26a-26c, so the new state is bit-for-bit the vectorized
+        one.  The live arrays are replaced, never written in place.
+        """
+        level, trend = self.level.tolist(), self.trend.tolist()
+        seasonal = self.seasonal.T.tolist()  # per series, oldest first
+        params = zip(self.alpha.tolist(), self.beta.tolist(), self.gamma.tolist())
+        for r, (series, (alpha, beta, gamma)) in enumerate(
+            zip(rows.T.tolist(), params)
+        ):
+            keep_a, keep_b, keep_g = 1.0 - alpha, 1.0 - beta, 1.0 - gamma
+            lvl, trd, season = level[r], trend[r], seasonal[r]
+            for b, u in enumerate(series):
+                s_old = season[b]  # s_{t-m}
+                new_level = alpha * (u - s_old) + keep_a * (lvl + trd)
+                season.append(gamma * (u - lvl - trd) + keep_g * s_old)
+                trd = beta * (new_level - lvl) + keep_b * trd
+                lvl = new_level
+            level[r], trend[r] = lvl, trd
+        self.level = np.array(level)
+        self.trend = np.array(trend)
+        self.seasonal = np.array(seasonal)[:, rows.shape[0]:].T.copy()
 
     def copy(self) -> "VectorHoltWinters":
         """Deep copy (used to forecast without disturbing live state)."""

@@ -19,11 +19,13 @@ from repro.tensor.masked import (
     masked_frobenius_norm,
     masked_relative_error,
     observed_fraction,
+    scatter_flat,
 )
 from repro.tensor.products import (
     hadamard_all,
     khatri_rao,
     kruskal_to_tensor,
+    kruskal_to_tensors,
     normalize_columns,
     outer,
 )
@@ -40,6 +42,7 @@ __all__ = [
     "impute",
     "khatri_rao",
     "kruskal_to_tensor",
+    "kruskal_to_tensors",
     "masked_frobenius_norm",
     "masked_relative_error",
     "mode_lengths_product",
@@ -49,6 +52,7 @@ __all__ = [
     "random_factors",
     "random_kruskal_tensor",
     "relative_error",
+    "scatter_flat",
     "unfold",
     "vec",
 ]

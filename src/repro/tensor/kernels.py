@@ -240,6 +240,9 @@ def _dtype_of(array: Any) -> np.dtype:
         return np.dtype(np.float64)
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def result_dtype(*arrays: Any) -> np.dtype:
     """The seam-wide computation dtype for one kernel call.
 
@@ -254,6 +257,13 @@ def result_dtype(*arrays: Any) -> np.dtype:
     pinned = active_backend().dtype
     if pinned is not None:
         return np.dtype(pinned)
+    # Fast path for the common all-float64 call (several per step).
+    if all(
+        type(a) is np.ndarray and a.dtype is _FLOAT64
+        for a in arrays
+        if a is not None
+    ):
+        return _FLOAT64
     floats = [
         dt
         for dt in (_dtype_of(a) for a in arrays if a is not None)
@@ -513,6 +523,7 @@ def _dense_mttkrp_chain(
     mats: Sequence[np.ndarray | None],
     mode: int | None,
     weights: np.ndarray | None = None,
+    dtype: np.dtype | None = None,
 ) -> np.ndarray:
     """MTTKRP as a chain of tensordot / broadcast-multiply-sum contractions.
 
@@ -522,11 +533,13 @@ def _dense_mttkrp_chain(
     ``unfold(tensor, mode) @ (khatri_rao(others) * weights)`` but without
     materializing the Khatri-Rao matrix and without per-call einsum-path
     overhead (the first contraction is a BLAS ``tensordot``).
+    ``dtype`` is the caller's already resolved :func:`result_dtype`.
     """
     ndim = tensor.ndim
-    dtype = result_dtype(
-        tensor, weights, *[m for m in mats if m is not None]
-    )
+    if dtype is None:
+        dtype = result_dtype(
+            tensor, weights, *[m for m in mats if m is not None]
+        )
     others = [axis for axis in range(ndim) if axis != mode]
     out = np.asarray(tensor, dtype=dtype)
     appended = False
@@ -663,7 +676,7 @@ def _batched_mttkrp(
             else np.ones((1, rank), dtype=dtype)
         )
         return tensor[:, None] * row
-    return _dense_mttkrp_chain(tensor, factors, mode, weights)
+    return _dense_mttkrp_chain(tensor, factors, mode, weights, dtype)
 
 
 def _batched_rls_update_rows(

@@ -16,6 +16,7 @@ __all__ = [
     "masked_frobenius_norm",
     "masked_relative_error",
     "observed_fraction",
+    "scatter_flat",
 ]
 
 
@@ -69,3 +70,22 @@ def impute(observed: np.ndarray, mask: np.ndarray, estimate: np.ndarray) -> np.n
     check_same_shape(obs, est, names=("observed", "estimate"))
     m = check_mask(mask, obs.shape)
     return np.where(m, obs, est)
+
+
+def scatter_flat(
+    values: np.ndarray,
+    flat: np.ndarray,
+    shape: tuple[int, ...],
+    fill: float = 0.0,
+) -> np.ndarray:
+    """A ``shape`` array of ``fill`` holding ``values`` at C-order ``flat``.
+
+    With ``flat = np.flatnonzero(mask)`` and ``values`` computed from
+    entries gathered by ``take(flat)``, this is bit for bit
+    ``np.where(mask, dense, fill)`` while doing the element-wise work at
+    the observed entries only.  It also avoids ``np.where``'s
+    per-element branch, which mispredicts on a random mask.
+    """
+    out = np.full(int(np.prod(shape)), fill, dtype=values.dtype)
+    out[flat] = values
+    return out.reshape(shape)

@@ -20,6 +20,7 @@ __all__ = [
     "hadamard_all",
     "khatri_rao",
     "kruskal_to_tensor",
+    "kruskal_to_tensors",
     "normalize_columns",
     "outer",
 ]
@@ -96,25 +97,46 @@ def kruskal_to_tensor(
     Returns
     -------
     numpy.ndarray
-        Dense tensor of shape ``(I_1, ..., I_N)``.
+        Dense tensor of shape ``(I_1, ..., I_N)``: the single slice of
+        :func:`kruskal_to_tensors` for one weight row (all ones when
+        ``weights`` is omitted, which leaves every product exact).
+    """
+    mats = check_factor_matrices(factors)
+    if weights is None:
+        row = np.ones((1, mats[0].shape[1]), dtype=mats[0].dtype)
+    else:
+        # Follow the factors' dtype so float32 models reconstruct in
+        # float32; non-float weights promote to float64 as before.
+        row = as_float(weights).reshape(1, -1)
+    return kruskal_to_tensors(mats, row)[0]
+
+
+def kruskal_to_tensors(
+    factors: Sequence[np.ndarray], weight_rows: np.ndarray
+) -> np.ndarray:
+    """Stack of :func:`kruskal_to_tensor` results, one per weight row.
+
+    Row ``h`` of the ``(H, R)`` ``weight_rows`` gives slice ``h`` of the
+    ``(H, I_1, ..., I_N)`` result.  All ``H`` weighted leading factors
+    stack into one ``(H·I_1, R)`` matrix, so the slices come from a
+    single GEMM against one Khatri-Rao product of the remaining
+    factors instead of ``H`` small ones.  Each output entry is the same
+    length-``R`` dot product as in :func:`kruskal_to_tensor`.
     """
     mats = check_factor_matrices(factors)
     shape = tuple(m.shape[0] for m in mats)
     lead = mats[0]
-    if weights is not None:
-        # Follow the factors' dtype so float32 models reconstruct in
-        # float32; non-float weights promote to float64 as before.
-        w = as_float(weights).reshape(-1)
-        if w.shape[0] != lead.shape[1]:
-            raise ShapeError(
-                f"weights length {w.shape[0]} does not match rank "
-                f"{lead.shape[1]}"
-            )
-        lead = lead * w[None, :]
+    rows = as_float(weight_rows)
+    if rows.ndim != 2 or rows.shape[1] != lead.shape[1]:
+        raise ShapeError(
+            f"weights of shape {rows.shape} do not match rank {lead.shape[1]}"
+        )
+    stacked = lead[None, :, :] * rows[:, None, :]
     if len(mats) == 1:
-        return lead.sum(axis=1)
+        return stacked.sum(axis=2)
     rest = khatri_rao(mats[1:])
-    return (lead @ rest.T).reshape(shape)
+    flat = stacked.reshape(-1, lead.shape[1]) @ rest.T
+    return flat.reshape((rows.shape[0], *shape))
 
 
 def normalize_columns(

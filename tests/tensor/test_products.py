@@ -8,6 +8,7 @@ from repro.tensor import (
     hadamard_all,
     khatri_rao,
     kruskal_to_tensor,
+    kruskal_to_tensors,
     normalize_columns,
     outer,
     unfold,
@@ -144,6 +145,30 @@ class TestKruskalToTensor:
         assert x.shape == (2, 3, 2, 3)
         expected = sum(outer([f[:, r] for f in factors]) for r in range(2))
         np.testing.assert_allclose(x, expected)
+
+
+class TestKruskalToTensors:
+    @pytest.mark.parametrize("dims", [(4,), (4, 3), (4, 3, 2)])
+    def test_rows_match_single_reconstructions(self, dims):
+        rng = np.random.default_rng(9)
+        factors = [rng.normal(size=(d, 3)) for d in dims]
+        rows = rng.normal(size=(5, 3))
+        stacked = kruskal_to_tensors(factors, rows)
+        assert stacked.shape == (5, *dims)
+        for h in range(5):
+            np.testing.assert_array_max_ulp(
+                stacked[h], kruskal_to_tensor(factors, weights=rows[h]), 1
+            )
+
+    def test_float32_stays_float32(self):
+        factors = [np.ones((2, 2), dtype=np.float32)] * 2
+        rows = np.ones((3, 2), dtype=np.float32)
+        assert kruskal_to_tensors(factors, rows).dtype == np.float32
+
+    @pytest.mark.parametrize("rows", [np.ones(2), np.ones((3, 4))])
+    def test_bad_weight_rows(self, rows):
+        with pytest.raises(ShapeError):
+            kruskal_to_tensors([np.ones((2, 2))], rows)
 
 
 class TestNormalizeColumns:
